@@ -397,12 +397,6 @@ def _run_algorithm1(
             st_up_ns=original_stress.max_accumulated_ns,
             stats={"skipped": "degraded before Step 1 completed"},
         )
-    snapshot = getattr(backend, "portfolio_snapshot", None)
-    if snapshot is not None:
-        # Racing backend: persist breaker states, per-lane win counts and
-        # the race log onto the run's stats, so demotions survive into
-        # saved records and `repro explain`.
-        alg1.portfolio = snapshot()
     alg1.final_st_target_ns = st_target
     event(
         "algorithm1.stats",

@@ -88,34 +88,8 @@ class RemapConfig:
     #: Binary-variable count above which "auto" prefers the greedy pass.
     greedy_threshold: int = 6000
     seed: int = 2020
-    #: Race solver lanes per solve instead of betting on one backend
-    #: (:class:`repro.portfolio.PortfolioBackend`).  The first answer to
-    #: pass independent certification wins; losers are cancelled.
-    portfolio: bool = False
-    #: Lane order when racing; the first healthy lane leads.
-    lanes: tuple[str, ...] = ("highs", "branch-bound", "prober")
-    #: Backup lanes start this many seconds after the leader (released
-    #: early when every started lane has failed).  On models the leader
-    #: finishes inside this window, backups never start — which is what
-    #: keeps a healthy portfolio run bit-identical to a serial one.
-    hedge_delay_s: float = 1.5
-    #: Per-lane wall-clock budget; None caps lanes only by the flow
-    #: deadline (and the solver's own ``time_limit_s``).
-    lane_timeout_s: float | None = None
 
     def make_backend(self):
-        if self.portfolio:
-            # Imported lazily: repro.portfolio pulls in both backends,
-            # and the serial path must not pay for that.
-            from repro.portfolio import PortfolioBackend
-
-            return PortfolioBackend(
-                lanes=tuple(self.lanes),
-                time_limit=self.time_limit_s,
-                mip_rel_gap=self.mip_rel_gap,
-                hedge_delay_s=self.hedge_delay_s,
-                lane_timeout_s=self.lane_timeout_s,
-            )
         return ScipyBackend(
             time_limit=self.time_limit_s, mip_rel_gap=self.mip_rel_gap
         )

@@ -25,7 +25,7 @@ Mode knob
 ``REPRO_KERNELS=scalar`` falls back to the original per-element Python
 loops, which stay in place as the executable specification.  Tests can
 override the mode for a scope with :func:`kernels_scope` (contextvar
-based, so a portfolio lane on another thread is unaffected).
+based, so code running in another context is unaffected).
 
 Observability
 -------------

@@ -40,7 +40,6 @@ from repro.obs.solverstats import (
     progress_enabled,
     relative_gap,
 )
-from repro.portfolio.cancel import current_cancel_token
 from repro.resilience.deadline import current_deadline
 from repro.resilience.faults import inject_solver_fault
 
@@ -192,19 +191,9 @@ class BranchBoundBackend:
         #: Tightest dual bound proven so far: the minimum over open nodes.
         global_bound = root_bound
         proven = True
-        token = current_cancel_token()
 
         try:
             while heap:
-                if token.cancelled:
-                    # Cooperative cancellation (a portfolio race was
-                    # decided elsewhere): wind down with the incumbent so
-                    # the loser's partial stats survive into the race
-                    # record.  Checked every node expansion — one node LP
-                    # bounds the cancellation latency.
-                    proven = False
-                    stats.limit_reason = "cancelled"
-                    break
                 if stats.nodes >= max_nodes:
                     proven = False
                     stats.limit_reason = "node_limit"

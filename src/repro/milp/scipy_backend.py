@@ -16,7 +16,6 @@ from repro.milp.model import Model, hint_vector
 from repro.milp.status import Solution, SolveStatus
 from repro.obs import counter, get_logger, histogram, span
 from repro.obs.solverstats import SolveStats, progress_enabled
-from repro.portfolio.cancel import current_cancel_token
 from repro.resilience.deadline import current_deadline
 from repro.resilience.faults import inject_solver_fault
 
@@ -78,15 +77,6 @@ class ScipyBackend:
         """
         deadline = current_deadline()
         deadline.check(f"milp_solve:{model.name}")
-        if current_cancel_token().cancelled:
-            # A portfolio race was decided before this lane entered the
-            # solver; HiGHS itself cannot be interrupted mid-solve, so
-            # the entry boundary is this backend's cancellation point.
-            return Solution(
-                status=SolveStatus.ERROR,
-                message="cancelled before solve",
-                stats=SolveStats(backend="highs", limit_reason="cancelled"),
-            )
         injected = inject_solver_fault(model.name)
         if injected is not None:
             injected.stats = SolveStats(

@@ -41,8 +41,9 @@ class JsonlSink:
             self._file = target
             self._owns_file = False
         self.lines_written = 0
-        # Portfolio lanes emit spans from racing threads; a lock keeps
-        # every JSONL line whole (interleaved writes would tear records).
+        # FloorplanService runs cache.fetch/cache.put through
+        # asyncio.to_thread, and both emit events; a lock keeps every
+        # JSONL line whole (interleaved writes would tear records).
         self._lock = threading.Lock()
 
     def _write(self, record: Mapping) -> None:

@@ -99,12 +99,8 @@ class SolveStats:
     lp_objective: float | None = None
     #: Why the solve stopped early: "" (ran to completion), "node_limit",
     #: "time_limit", "deadline", "gap_limit", "solver_error",
-    #: "fault_injected", "cancelled" (a portfolio race was decided
-    #: elsewhere), "incomplete" (the prober could not round the LP).
+    #: "fault_injected".
     limit_reason: str = ""
-    #: The portfolio lane that produced this solution (set by the racing
-    #: executor on the winner; "" for serial solves).
-    lane: str = ""
     elapsed_s: float = 0.0
     trajectory: list[TrajectorySample] = field(default_factory=list)
     #: Whether the solve was seeded with a validated incumbent hint.
@@ -179,8 +175,6 @@ class SolveStats:
             attrs["gap"] = self.mip_gap
         if self.limit_reason:
             attrs["limit_reason"] = self.limit_reason
-        if self.lane:
-            attrs["lane"] = self.lane
         if self.warm_started:
             attrs["warm_started"] = True
             if self.hint_objective is not None:
@@ -211,8 +205,6 @@ class SolveStats:
             "elapsed_s": self.elapsed_s,
             "trajectory": [point.to_dict() for point in self.trajectory],
         }
-        if self.lane:
-            data["lane"] = self.lane
         if self.warm_started:
             data["warm_started"] = True
             data["hint_objective"] = self.hint_objective
@@ -261,10 +253,6 @@ class Algorithm1Stats:
     certifications: int = 0
     cert_failures: int = 0
     cert_cold_rebuilds: int = 0
-    #: Portfolio-racing snapshot (``PortfolioBackend.portfolio_snapshot``):
-    #: breaker states/transition history, per-lane win counts, and the
-    #: bounded race log.  ``None`` for serial (single-backend) runs.
-    portfolio: dict | None = None
 
     @property
     def iterations(self) -> int:
@@ -310,8 +298,6 @@ class Algorithm1Stats:
             "cert_failures": self.cert_failures,
             "cert_cold_rebuilds": self.cert_cold_rebuilds,
         }
-        if self.portfolio is not None:
-            data["portfolio"] = self.portfolio
         return data
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -81,6 +82,11 @@ class FloorplanRequest:
             )
         if self.design is not None and (self.source is not None):
             raise ServiceError("request cannot carry both a design and source")
+        if self.design is not None and not isinstance(self.design, dict):
+            raise ServiceError(
+                "request 'design' must be a JSON object, got "
+                f"{type(self.design).__name__}"
+            )
         if self.design is not None and self.design.get("kind") != "mapped_design":
             raise ServiceError(
                 "request 'design' must be a mapped_design document, got "
@@ -99,13 +105,16 @@ class FloorplanRequest:
             )
         if int(rows_cols[0]) < 1 or int(rows_cols[1]) < 1:
             raise ServiceError(f"fabric {self.fabric!r} has no PEs")
-        if self.time_limit_s <= 0:
+        if not (math.isfinite(self.time_limit_s) and self.time_limit_s > 0):
             raise ServiceError(
-                f"time_limit_s must be > 0, got {self.time_limit_s}"
+                f"time_limit_s must be finite and > 0, got {self.time_limit_s}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not (
+            math.isfinite(self.deadline_s) and self.deadline_s > 0
+        ):
             raise ServiceError(
-                f"deadline_s must be > 0 when given, got {self.deadline_s}"
+                "deadline_s must be finite and > 0 when given, got "
+                f"{self.deadline_s}"
             )
         if not self.tenant or not isinstance(self.tenant, str):
             raise ServiceError(f"invalid tenant {self.tenant!r}")

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.io.serialize import design_to_dict, floorplan_to_dict
-from repro.obs import summarize_records
+from repro.obs import summarize_records, summarize_trace
 from repro.obs.report import (
     Report,
     Section,
@@ -172,6 +172,34 @@ class TestBuildReport:
         assert report.sections
         for section in report.sections:
             assert section.blocks, f"section {section.slug} is empty"
+
+    def test_legacy_portfolio_artefacts_are_ignored(self, record, tmp_path):
+        # Older saved records and traces may carry a portfolio snapshot
+        # and portfolio.* events; they must load and render nothing.
+        legacy = json.loads(json.dumps(record))
+        legacy["algorithm1"]["stats"]["portfolio"] = {
+            "lanes": ["highs", "branch-bound", "prober"],
+            "solves": 1, "winners": {"highs": 1}, "hedge_delay_s": 1.5,
+            "breakers": {"highs": {"state": "closed", "successes": 1}},
+            "races": [{"model": "remap", "winner": "highs",
+                       "lanes": [{"lane": "highs", "verdict": "won"}]}],
+        }
+        path = tmp_path / "legacy.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in [
+            _span("flow", duration=1.0),
+            _span("solver", parent="flow", nodes=5, kind="milp",
+                  model="remap", status="optimal", lane="highs"),
+            _event("portfolio.race", model="remap", winner="highs",
+                   lanes=[{"lane": "highs", "verdict": "won"}]),
+            _event("portfolio.lane_rejected", lane="prober"),
+            _event("portfolio.breaker", lane="prober", state="hedged"),
+        ]))
+        summary = summarize_trace(path)
+        assert not summary.degradations
+        assert "races" not in summary.to_dict()
+        report = build_report(legacy, summary)
+        assert "portfolio" not in [s.slug for s in report.sections]
+        assert "portfolio" not in render_markdown(report).lower()
 
     def test_stress_section_survives_malformed_record(self, record):
         broken = dict(record)

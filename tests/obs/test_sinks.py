@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -83,6 +84,41 @@ class TestJsonlRoundTrip:
             by_path["flow"].total_s
         )
         assert summary.events[0]["name"] == "flow.fallback"
+
+
+class TestConcurrentWrites:
+    def test_threads_sharing_a_sink_write_whole_lines(self, tmp_path):
+        # The service emits cache events from asyncio.to_thread workers
+        # while the event loop emits its own; no line may tear.
+        threads, per_thread = 8, 200
+        payload = "x" * 4096  # several records per buffer flush
+        path = tmp_path / "trace.jsonl"
+        barrier = threading.Barrier(threads)
+
+        def emit(worker: int) -> None:
+            barrier.wait()
+            for i in range(per_thread):
+                with span("write", worker=worker):
+                    event("tick", worker=worker, i=i, payload=payload)
+
+        with JsonlSink(path) as sink, attached(sink):
+            pool = [
+                threading.Thread(target=emit, args=(n,))
+                for n in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+        lines = path.read_text().splitlines()
+        assert len(lines) == sink.lines_written == 2 * threads * per_thread
+        ticks = set()
+        for line in lines:
+            record = json.loads(line)
+            if record["name"] == "tick":
+                assert record["attrs"]["payload"] == payload
+                ticks.add((record["attrs"]["worker"], record["attrs"]["i"]))
+        assert len(ticks) == threads * per_thread
 
 
 class TestTraceValidation:

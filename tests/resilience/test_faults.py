@@ -40,8 +40,10 @@ class TestPlanParsing:
         assert plan.fired("thermal_divergence") == 1
 
     def test_unknown_point_rejected(self):
-        with pytest.raises(FaultConfigError, match="unknown fault point"):
-            FaultPlan.parse("warp_core_breach")
+        # A retired point name must fail loudly, not pass silently.
+        for name in ("warp_core_breach", "lane_crash"):
+            with pytest.raises(FaultConfigError, match="unknown fault point"):
+                FaultPlan.parse(name)
 
     def test_bad_index_rejected(self):
         with pytest.raises(FaultConfigError):
@@ -63,9 +65,6 @@ class TestPlanParsing:
             "annealing_nan",
             "worker_crash",
             "worker_hang",
-            "lane_crash",
-            "lane_hang",
-            "lane_wrong_answer",
             "service_worker_crash",
             "service_cache_corrupt",
             "service_slow_client",

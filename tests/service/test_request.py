@@ -44,8 +44,13 @@ class TestValidation:
         ("fabric", "4by4", "invalid fabric"),
         ("fabric", "0x4", "no PEs"),
         ("time_limit_s", 0, "time_limit_s"),
+        ("time_limit_s", "nan", "time_limit_s"),
+        ("time_limit_s", float("inf"), "time_limit_s"),
         ("deadline_s", -1.0, "deadline_s"),
+        ("deadline_s", "nan", "deadline_s"),
+        ("deadline_s", "inf", "deadline_s"),
         ("tenant", "", "tenant"),
+        ("design", [1, 2], "JSON object"),
     ])
     def test_bad_fields_rejected(self, field, value, match):
         with pytest.raises(ServiceError, match=match):
