@@ -267,8 +267,14 @@ def add_path_constraints(
     fabric: Fabric,
     paths: Sequence[MonitoredPath],
     cpd_ns: float,
+    first_index: int = 0,
+    lazy: bool = False,
 ) -> tuple[int, int]:
     """Eq. (5) wire-length slack constraints for the monitored paths.
+
+    Rows are named ``path[i]`` with ``i`` counting from ``first_index``,
+    so paths cut into a live model later (``lazy=True``, also stamped on
+    the rows' tags) keep names unique.
 
     Returns ``(constraints added, frozen violations skipped)``.  Paths
     whose wire segments are all between fixed endpoints reduce to
@@ -280,7 +286,7 @@ def add_path_constraints(
     """
     added = 0
     frozen_violations = 0
-    for index, monitored in enumerate(paths):
+    for index, monitored in enumerate(paths, start=first_index):
         path = monitored.path
         pe_delay = path.pe_delay_ns(design)
         slack_ns = cpd_ns - pe_delay
@@ -298,16 +304,17 @@ def add_path_constraints(
             if total.constant > max_length + 1e-9:
                 frozen_violations += 1
             continue
+        tags = {
+            "family": "path",
+            "path": index,
+            "context": path.context,
+            "ops": list(path.chain),
+            "delay_ns": round(monitored.delay_ns, 9),
+        }
+        if lazy:
+            tags["lazy"] = True
         variables.model.add_constraint(
-            total <= max_length,
-            name=f"path[{index}]",
-            tags={
-                "family": "path",
-                "path": index,
-                "context": path.context,
-                "ops": list(path.chain),
-                "delay_ns": round(monitored.delay_ns, 9),
-            },
+            total <= max_length, name=f"path[{index}]", tags=tags
         )
         added += 1
     return added, frozen_violations

@@ -13,6 +13,14 @@
   budget — a decomposition ablation that is faster but cannot coordinate
   across contexts.
 
+Every integer solve here is feasibility-only (``feasibility_only=True``:
+the backend searches a zero cost vector and stops at the first feasible
+point), as in the paper's ``ObjFunc: Null``.  Only the LP relaxation sees
+the configured objective: the wirelength objective earns its keep by
+steering the 0.95 pre-mapping, not by a gap the ILP would have to prove.
+Algorithm 1 re-checks every candidate with full STA and cuts the paths
+that violate the CPD as new Eq. (5) rows.
+
 Candidate windowing
 -------------------
 On large fabrics a dense op x PE variable grid is intractable (the paper's
@@ -67,16 +75,13 @@ class RemapConfig:
 
     strategy: str = "two-step"  # "two-step" | "monolithic" | "sequential"
     rounding: str = "threshold"  # "threshold" | "randomized"
-    #: "wirelength" minimises total wire length among feasible floorplans
-    #: (robust default); "null" is the paper-pure feasibility objective.
+    #: "wirelength" steers the LP relaxation (and so the 0.95 pre-mapping)
+    #: towards short wires (default); "null" is the paper-pure feasibility
+    #: objective.  Integer solves are feasibility-only either way.
     objective: str = "wirelength"
     fix_threshold: float = 0.95
     candidate_window: int | None = None  # None = auto by fabric size
     time_limit_s: float | None = 60.0
-    #: Relative MIP gap at which the solver may stop.  The re-mapping model
-    #: needs a *good feasible* floorplan, not a proven-optimal one; a
-    #: generous gap cuts branch-and-bound time by an order of magnitude.
-    mip_rel_gap: float | None = 0.30
     #: How to turn the (fractional) LP solution into the final binding:
     #: "ilp"    — the paper's residual ILP, always;
     #: "greedy" — LP-guided greedy completion (stress/slot feasible by
@@ -90,9 +95,7 @@ class RemapConfig:
     seed: int = 2020
 
     def make_backend(self):
-        return ScipyBackend(
-            time_limit=self.time_limit_s, mip_rel_gap=self.mip_rel_gap
-        )
+        return ScipyBackend(time_limit=self.time_limit_s)
 
     def resolved_window(self, fabric: Fabric) -> int | None:
         if self.candidate_window is not None:
@@ -498,7 +501,7 @@ def _solve_monolithic(
     backend: ScipyBackend,
     warm: "WarmStart | None" = None,
 ) -> RemapOutcome:
-    options: dict = {}
+    options: dict = {"feasibility_only": True}
     if warm is not None and warm.reason == "infeasible" and warm.values:
         # The previous solution of this (re-stamped) model seeds the
         # solver's incumbent where the backend supports it.
@@ -558,7 +561,9 @@ def _solve_two_step(
             and _apply_fixing(model, variables, warm.fixing)
         ):
             with span("ilp_warm_fixing", groups_fixed=len(warm.fixing)):
-                trial = model.solve(backend, warm_start=warm.values)
+                trial = model.solve(
+                    backend, warm_start=warm.values, feasibility_only=True
+                )
             stats["warm_fixing"] = len(warm.fixing)
             stats["ilp_s"] = trial.solve_seconds
             stats["ilp_status"] = trial.status.value
@@ -634,7 +639,7 @@ def _solve_two_step(
         stats["vars_free"] = report.variables_free
 
         with span("ilp_fix", groups_fixed=report.groups_fixed):
-            ilp_solution = model.solve(backend)
+            ilp_solution = model.solve(backend, feasibility_only=True)
         if ilp_solution.stats is not None:
             # The residual-ILP record carries the LP->ILP pre-mapping
             # outcome, so one SolveStats tells the whole two-step story.

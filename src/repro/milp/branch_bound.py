@@ -31,7 +31,7 @@ from scipy.optimize import linprog
 from repro.errors import SolverError
 from repro.explain import explain_enabled
 from repro.milp.model import MatrixForm, Model, hint_vector
-from repro.milp.scipy_backend import attach_attribution
+from repro.milp.scipy_backend import attach_attribution, solver_cost
 from repro.milp.status import Solution, SolveStatus
 from repro.obs import counter, get_logger, span
 from repro.obs.solverstats import (
@@ -76,9 +76,10 @@ class BranchBoundBackend:
     # -- LP relaxation -------------------------------------------------------
     @staticmethod
     def _solve_relaxation(
-        form: MatrixForm, lower: np.ndarray, upper: np.ndarray
+        form: MatrixForm, cost: np.ndarray, lower: np.ndarray,
+        upper: np.ndarray,
     ):
-        """Solve the LP relaxation on the given bound box.
+        """Solve the LP relaxation of ``min cost @ x`` on the given bound box.
 
         Returns ``(objective, x)`` or ``None`` when infeasible.  The
         constraint split is cached on ``form``, so the per-node cost is
@@ -93,7 +94,7 @@ class BranchBoundBackend:
             kwargs["A_eq"] = a_eq
             kwargs["b_eq"] = b_eq
         result = linprog(
-            c=form.objective,
+            c=cost,
             bounds=np.column_stack([lower, upper]),
             method="highs",
             **kwargs,
@@ -113,6 +114,11 @@ class BranchBoundBackend:
         model, it seeds the incumbent and upper bound before the first
         node, so bound-based pruning engages from node 1 instead of after
         the first integral leaf is found.
+
+        ``options["feasibility_only"]`` searches a zero cost vector: the
+        first integral leaf (or a valid hint) closes the search.  The
+        returned objective and ``SolveStats.incumbent`` are still the
+        model's own; no bound or gap is recorded.
         """
         stats = SolveStats(backend="branch_bound", kind="milp")
         with span(
@@ -147,6 +153,9 @@ class BranchBoundBackend:
         n = len(form.variables)
         time_limit = deadline.cap(options.get("time_limit", self.time_limit))
         max_nodes = options.get("max_nodes", self.max_nodes)
+        feasibility_only = bool(options.get("feasibility_only"))
+        stats.feasibility_only = feasibility_only
+        cost = solver_cost(form, feasibility_only)
 
         if n == 0:
             return Solution(
@@ -159,14 +168,15 @@ class BranchBoundBackend:
             SolveProgress(f"bb {model.name}") if progress_enabled() else None
         )
 
-        root = self._solve_relaxation(form, form.lower, form.upper)
+        root = self._solve_relaxation(form, cost, form.lower, form.upper)
         if root is None:
             return Solution(
                 status=SolveStatus.INFEASIBLE,
                 solve_seconds=solver_span.duration_s,
             )
         root_bound, _ = root
-        stats.lp_objective = root_bound
+        if not feasibility_only:
+            stats.lp_objective = root_bound
         stats.sample(solver_span.duration_s, 0, None, root_bound)
 
         heap: list[_Node] = [
@@ -182,10 +192,10 @@ class BranchBoundBackend:
             else:
                 # Seed the incumbent: every node whose relaxation bound
                 # cannot beat the hint is pruned without branching.
-                best_obj = float(form.objective @ x0)
+                best_obj = float(cost @ x0)
                 best_x = x0
                 stats.warm_started = True
-                stats.hint_objective = best_obj
+                stats.hint_objective = float(form.objective @ x0)
                 stats.sample(solver_span.duration_s, 0, best_obj, root_bound)
                 counter("milp.warm_start_hits").inc()
         #: Tightest dual bound proven so far: the minimum over open nodes.
@@ -222,7 +232,9 @@ class BranchBoundBackend:
                         global_bound,
                     )
                 try:
-                    relaxed = self._solve_relaxation(form, node.lower, node.upper)
+                    relaxed = self._solve_relaxation(
+                        form, cost, node.lower, node.upper
+                    )
                 except SolverError:
                     # A node LP blew up mid-search.  With an incumbent in
                     # hand the search degrades to "best found so far" (the
@@ -285,14 +297,15 @@ class BranchBoundBackend:
         status = SolveStatus.OPTIMAL if proven else SolveStatus.FEASIBLE
         objective = float(form.objective @ best_x)
         stats.incumbent = objective
-        # Proven optimality closes the gap by definition; otherwise the
-        # tightest open-node bound certifies the remaining gap.
-        stats.best_bound = objective if proven else min(
-            global_bound, objective
-        )
-        stats.mip_gap = (
-            0.0 if proven else relative_gap(objective, stats.best_bound)
-        )
+        if not feasibility_only:
+            # Proven optimality closes the gap by definition; otherwise the
+            # tightest open-node bound certifies the remaining gap.
+            stats.best_bound = objective if proven else min(
+                global_bound, objective
+            )
+            stats.mip_gap = (
+                0.0 if proven else relative_gap(objective, stats.best_bound)
+            )
         stats.sample(elapsed, stats.nodes, objective, stats.best_bound)
         return Solution(
             status=status,

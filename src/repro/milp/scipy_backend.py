@@ -35,6 +35,18 @@ def attach_attribution(stats: SolveStats, form, x, metas) -> None:
     except Exception:  # pragma: no cover - diagnostics are best-effort
         _log.debug("binding attribution failed", exc_info=True)
 
+
+def solver_cost(form, feasibility_only: bool) -> np.ndarray:
+    """The cost vector a backend optimizes: zero for a feasibility-only
+    solve (stop at the first feasible point), else the model's own.
+
+    Shared by both backends, like :func:`attach_attribution`.
+    """
+    if feasibility_only:
+        return np.zeros_like(form.objective)
+    return form.objective
+
+
 #: Map HiGHS/scipy status codes to our :class:`SolveStatus`.
 _STATUS_MAP = {
     0: SolveStatus.OPTIMAL,
@@ -52,13 +64,10 @@ class ScipyBackend:
     ----------
     time_limit:
         Wall-clock limit in seconds passed to HiGHS (None = unlimited).
-    mip_rel_gap:
-        Relative MIP gap at which HiGHS may stop (None = solver default).
     """
 
-    def __init__(self, time_limit: float | None = None, mip_rel_gap: float | None = None):
+    def __init__(self, time_limit: float | None = None):
         self.time_limit = time_limit
-        self.mip_rel_gap = mip_rel_gap
 
     def solve(self, model: Model, **options) -> Solution:
         """Solve ``model``; per-call ``options`` override constructor values.
@@ -72,8 +81,16 @@ class ScipyBackend:
         solution).  HiGHS's scipy entry point has no MIP-start API, so the
         hint cannot seed the search itself; it is validated and recorded
         on :class:`SolveStats` (``warm_started``/``hint_objective``), and
-        for pure *feasibility* models (the paper's ``ObjFunc: Null``) a
-        still-feasible hint is returned directly without invoking HiGHS.
+        for *feasibility* solves (below, or a model with the paper's
+        ``ObjFunc: Null``) a still-feasible hint is returned directly
+        without invoking HiGHS.
+
+        ``options["feasibility_only"]`` hands HiGHS a zero cost vector for
+        a MILP, so the search stops at the first feasible point instead of
+        proving an optimality gap.  ``SolveStats.incumbent`` still records
+        the model's own objective at the returned point; no dual bound or
+        gap is recorded, since they would describe the zero objective.
+        Pure LPs are always solved with the model's objective.
         """
         deadline = current_deadline()
         deadline.check(f"milp_solve:{model.name}")
@@ -95,9 +112,7 @@ class ScipyBackend:
         time_limit = deadline.cap(options.get("time_limit", self.time_limit))
         if time_limit is not None:
             milp_options["time_limit"] = float(time_limit)
-        mip_rel_gap = options.get("mip_rel_gap", self.mip_rel_gap)
-        if mip_rel_gap is not None:
-            milp_options["mip_rel_gap"] = float(mip_rel_gap)
+        feasibility_only = bool(options.get("feasibility_only"))
         if progress_enabled():
             # HiGHS's own branch-and-cut log is the live progress line for
             # this backend (incumbent/bound/gap per node batch).
@@ -117,7 +132,9 @@ class ScipyBackend:
             # branch-and-cut entry point on these transportation-like LPs.
             return self._solve_lp(form, time_limit, model.name, metas=metas)
 
-        stats = SolveStats(backend="highs", kind="milp")
+        stats = SolveStats(
+            backend="highs", kind="milp", feasibility_only=feasibility_only
+        )
         hint = options.get("warm_start")
         if hint:
             x0 = hint_vector(form, hint)
@@ -127,8 +144,8 @@ class ScipyBackend:
                 stats.warm_started = True
                 stats.hint_objective = float(form.objective @ x0)
                 counter("milp.warm_start_hits").inc()
-                if not model.has_objective():
-                    # Feasibility model: any feasible point is an answer, so
+                if feasibility_only or not model.has_objective():
+                    # Feasibility solve: any feasible point is an answer, so
                     # the validated hint short-circuits the solver entirely.
                     with span(
                         "solver", backend="highs", kind="milp",
@@ -157,7 +174,7 @@ class ScipyBackend:
         ) as solver_span:
             try:
                 result = milp(
-                    c=form.objective,
+                    c=solver_cost(form, feasibility_only),
                     constraints=constraints,
                     integrality=form.integrality,
                     bounds=Bounds(form.lower, form.upper),
@@ -168,12 +185,13 @@ class ScipyBackend:
             elapsed = solver_span.duration_s
             stats.elapsed_s = elapsed
             stats.nodes = int(getattr(result, "mip_node_count", 0) or 0)
-            bound = getattr(result, "mip_dual_bound", None)
-            if bound is not None and np.isfinite(bound):
-                stats.best_bound = float(bound)
-            gap = getattr(result, "mip_gap", None)
-            if gap is not None and np.isfinite(gap):
-                stats.mip_gap = float(gap)
+            if not feasibility_only:
+                bound = getattr(result, "mip_dual_bound", None)
+                if bound is not None and np.isfinite(bound):
+                    stats.best_bound = float(bound)
+                gap = getattr(result, "mip_gap", None)
+                if gap is not None and np.isfinite(gap):
+                    stats.mip_gap = float(gap)
             status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
             if status is SolveStatus.FEASIBLE:
                 # HiGHS status 1 = a limit stopped the search; which limit
@@ -181,10 +199,6 @@ class ScipyBackend:
                 stats.limit_reason = (
                     "time_limit" if time_limit is not None else "limit"
                 )
-            elif status is SolveStatus.OPTIMAL and (
-                mip_rel_gap and stats.mip_gap and stats.mip_gap > 0.0
-            ):
-                stats.limit_reason = "gap_limit"
             if result.x is not None:
                 stats.incumbent = float(form.objective @ result.x)
                 stats.sample(elapsed, stats.nodes, stats.incumbent, stats.best_bound)

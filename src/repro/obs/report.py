@@ -253,6 +253,8 @@ def _trajectory_section(
             "bisection steps": run.get("bisection_steps"),
             "iterations": run.get("iterations"),
             "relaxations": run.get("relaxations"),
+            "cut rounds": run.get("cut_rounds"),
+            "cut rows": run.get("cut_rows"),
             "final ST_target (ns)": run.get("final_st_target_ns"),
             "solves": run.get("solves"),
             "total nodes": run.get("total_nodes"),
@@ -262,11 +264,14 @@ def _trajectory_section(
         })
         trajectory = run.get("st_trajectory") or []
         verdicts = run.get("verdicts") or []
+        rows_added = run.get("rows_added") or [0] * len(verdicts)
         section.table(
-            ["iteration", "ST_target (ns)", "verdict"],
+            ["iteration", "ST_target (ns)", "verdict", "rows added"],
             [
-                [i + 1, round(float(st), 4), verdict]
-                for i, (st, verdict) in enumerate(zip(trajectory, verdicts))
+                [i + 1, round(float(st), 4), verdict, rows]
+                for i, (st, verdict, rows) in enumerate(
+                    zip(trajectory, verdicts, rows_added)
+                )
             ],
         )
     return section

@@ -89,18 +89,22 @@ class SolveStats:
     kind: str = "milp"  # "milp" | "lp"
     nodes: int = 0
     #: Objective of the returned incumbent (backend sense), None when no
-    #: incumbent exists.
+    #: incumbent exists.  Always the model's own objective, also for a
+    #: feasibility-only solve.
     incumbent: float | None = None
-    #: Best proven dual bound at termination.
+    #: Best proven dual bound at termination (None for a feasibility-only
+    #: solve, whose bound would describe the zero cost vector).
     best_bound: float | None = None
     #: Final relative MIP gap (None for LPs / no-incumbent outcomes).
     mip_gap: float | None = None
     #: Objective of the root LP relaxation, when the backend solved one.
     lp_objective: float | None = None
     #: Why the solve stopped early: "" (ran to completion), "node_limit",
-    #: "time_limit", "deadline", "gap_limit", "solver_error",
-    #: "fault_injected".
+    #: "time_limit", "deadline", "solver_error", "fault_injected".
     limit_reason: str = ""
+    #: The backend optimized a zero cost vector and stopped at the first
+    #: feasible point (Algorithm 1's integer solves).
+    feasibility_only: bool = False
     elapsed_s: float = 0.0
     trajectory: list[TrajectorySample] = field(default_factory=list)
     #: Whether the solve was seeded with a validated incumbent hint.
@@ -175,6 +179,8 @@ class SolveStats:
             attrs["gap"] = self.mip_gap
         if self.limit_reason:
             attrs["limit_reason"] = self.limit_reason
+        if self.feasibility_only:
+            attrs["feasibility_only"] = True
         if self.warm_started:
             attrs["warm_started"] = True
             if self.hint_objective is not None:
@@ -205,6 +211,8 @@ class SolveStats:
             "elapsed_s": self.elapsed_s,
             "trajectory": [point.to_dict() for point in self.trajectory],
         }
+        if self.feasibility_only:
+            data["feasibility_only"] = True
         if self.warm_started:
             data["warm_started"] = True
             data["hint_objective"] = self.hint_objective
@@ -242,6 +250,11 @@ class Algorithm1Stats:
     #: Per-iteration verdicts ("accepted", "infeasible", "cpd_violation",
     #: "frozen_budget_infeasible"), parallel to ``st_trajectory``.
     verdicts: list[str] = field(default_factory=list)
+    #: Eq. (5) rows each iteration cut into the model after a CPD
+    #: violation (0 = none), parallel to ``st_trajectory``.  An iteration
+    #: that added rows is a cut round: the next one re-solves at the same
+    #: ST_target instead of relaxing it.
+    rows_added: list[int] = field(default_factory=list)
     final_st_target_ns: float = 0.0
     #: Aggregates over every backend solve of the run.
     solves: int = 0
@@ -260,12 +273,29 @@ class Algorithm1Stats:
 
     @property
     def relaxations(self) -> int:
-        """ST_target += Delta steps taken (iterations that did not accept)."""
-        return sum(1 for verdict in self.verdicts if verdict != "accepted")
+        """ST_target += Delta steps taken (iterations that neither accepted
+        nor cut new rows)."""
+        return sum(
+            1 for verdict, rows in zip(self.verdicts, self.rows_added)
+            if verdict != "accepted" and not rows
+        )
 
-    def record_iteration(self, st_target_ns: float, verdict: str) -> None:
+    @property
+    def cut_rounds(self) -> int:
+        """Iterations whose CPD violation added lazy Eq. (5) rows."""
+        return sum(1 for rows in self.rows_added if rows)
+
+    @property
+    def cut_rows(self) -> int:
+        """Lazy Eq. (5) rows added over the whole run."""
+        return sum(self.rows_added)
+
+    def record_iteration(
+        self, st_target_ns: float, verdict: str, rows_added: int = 0
+    ) -> None:
         self.st_trajectory.append(st_target_ns)
         self.verdicts.append(verdict)
+        self.rows_added.append(int(rows_added))
 
     def absorb_solve(self, stats: Mapping | None) -> None:
         """Fold one solve's :meth:`SolveStats.to_dict` into the aggregates."""
@@ -290,6 +320,9 @@ class Algorithm1Stats:
             "relaxations": self.relaxations,
             "st_trajectory": list(self.st_trajectory),
             "verdicts": list(self.verdicts),
+            "rows_added": list(self.rows_added),
+            "cut_rounds": self.cut_rounds,
+            "cut_rows": self.cut_rows,
             "final_st_target_ns": self.final_st_target_ns,
             "solves": self.solves,
             "total_nodes": self.total_nodes,

@@ -168,3 +168,96 @@ class TestCrossValidation:
             assert bnb.status is SolveStatus.OPTIMAL
             assert highs.objective == pytest.approx(expected, abs=1e-6)
             assert bnb.objective == pytest.approx(expected, abs=1e-6)
+
+
+def _objective_at(model, solution):
+    """The model's own objective (minimisation sense) at a solution."""
+    value = sum(
+        coeff * solution.values[var]
+        for var, coeff in model.objective.terms.items()
+    )
+    return value if model.minimize else -value
+
+
+BACKENDS = [ScipyBackend, BranchBoundBackend]
+
+
+class TestFeasibilityOnly:
+    """``feasibility_only=True``: stop at the first feasible point, but
+    report the model's real objective there."""
+
+    @staticmethod
+    def cover_model():
+        """min 10x+6y+4z s.t. x+y+z>=2 -> optimum 10, other points 14/16."""
+        model = Model("cover")
+        x, y, z = (model.add_binary(n) for n in "xyz")
+        model.add_constraint(linear_sum([x, y, z]) >= 2)
+        model.set_objective(10 * x + 6 * y + 4 * z)
+        return model
+
+    @pytest.mark.parametrize("backend_cls", BACKENDS)
+    def test_feasible_point_with_real_objective(self, backend_cls):
+        model = self.cover_model()
+        solution = model.solve(backend_cls(), feasibility_only=True)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert model.check_solution(solution) == []
+        real = _objective_at(model, solution)
+        assert real in (10.0, 14.0, 16.0, 20.0)
+        assert solution.stats.incumbent == pytest.approx(real)
+        assert solution.objective == pytest.approx(real)
+        assert solution.stats.feasibility_only is True
+        # A bound or gap would describe the zero cost vector, not the model.
+        assert solution.stats.best_bound is None
+        assert solution.stats.mip_gap is None
+        assert solution.stats.span_attrs()["feasibility_only"] is True
+        assert solution.stats.to_dict()["feasibility_only"] is True
+
+    @pytest.mark.parametrize("backend_cls", BACKENDS)
+    def test_maximisation_reports_user_sense_objective(self, backend_cls):
+        model, (x, y, z) = knapsack_model()
+        solution = model.solve(backend_cls(), feasibility_only=True)
+        assert model.check_solution(solution) == []
+        value = 10 * solution[x] + 6 * solution[y] + 4 * solution[z]
+        assert solution.objective == pytest.approx(value)
+        assert solution.stats.incumbent == pytest.approx(-value)
+
+    @pytest.mark.parametrize("backend_cls", BACKENDS)
+    def test_default_solve_still_optimizes(self, backend_cls):
+        solution = self.cover_model().solve(backend_cls())
+        assert solution.objective == pytest.approx(10.0)
+        assert solution.stats.feasibility_only is False
+
+    @pytest.mark.parametrize("backend_cls", BACKENDS)
+    def test_infeasible_still_detected(self, backend_cls):
+        model = Model("inf")
+        x = model.add_binary("x")
+        model.add_constraint(2 * x == 1)
+        solution = model.solve(backend_cls(), feasibility_only=True)
+        assert solution.status is SolveStatus.INFEASIBLE
+
+    def test_valid_hint_is_the_answer(self):
+        model = self.cover_model()
+        x, y, z = model.variables
+        hint = {x: 1.0, y: 1.0, z: 0.0}
+        solution = model.solve(
+            ScipyBackend(), feasibility_only=True, warm_start=hint
+        )
+        assert solution.values == hint
+        assert solution.stats.incumbent == pytest.approx(16.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=random_milp())
+    def test_agrees_with_brute_force_on_feasibility(self, data):
+        model, variables, objective = data
+        expected = brute_force_optimum(
+            variables, model.constraints, objective
+        )
+        for backend_cls in BACKENDS:
+            solution = model.solve(backend_cls(), feasibility_only=True)
+            if expected is None:
+                assert solution.status is SolveStatus.INFEASIBLE
+                continue
+            assert model.check_solution(solution) == []
+            real = _objective_at(model, solution)
+            assert solution.stats.incumbent == pytest.approx(real, abs=1e-6)
+            assert real >= expected - 1e-6

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.obs import perf
 from repro.obs.perf import (
     BENCH_SCHEMA,
@@ -13,7 +16,9 @@ from repro.obs.perf import (
 )
 
 
-def _entry(wall_s=1.0, mem_mb=10.0, nodes=100, mttf=2.0, cpd=True):
+def _entry(
+    wall_s=1.0, mem_mb=10.0, nodes=100, mttf=2.0, cpd=True, level="none"
+):
     return {
         "benchmark": "B1",
         "fabric": "4x4",
@@ -21,7 +26,7 @@ def _entry(wall_s=1.0, mem_mb=10.0, nodes=100, mttf=2.0, cpd=True):
         "peak_mem_mb": mem_mb,
         "mttf_increase": mttf,
         "cpd_preserved": cpd,
-        "degradation": "none",
+        "degradation": level,
         "stages": {},
         "solver": {"solves": 3, "nodes": nodes, "max_mip_gap": 0.0},
     }
@@ -83,13 +88,37 @@ class TestCompare:
         assert any("B4" in w and "missing" in w for w in result.warnings)
         assert any("B9" in w and "new" in w for w in result.warnings)
 
-    def test_quality_drop_warns_but_does_not_fail(self):
+    def test_quality_drop_is_a_regression(self):
         base = _record(B1=_entry(mttf=2.0, cpd=True))
         cand = _record(B1=_entry(mttf=1.5, cpd=False))
         result = compare_records(base, cand)
-        assert result.ok
-        assert any("mttf_increase" in w for w in result.warnings)
-        assert any("CPD" in w for w in result.warnings)
+        assert not result.ok
+        by_metric = {r.metric: r for r in result.regressions}
+        assert set(by_metric) == {"mttf_increase", "cpd_preserved"}
+        assert by_metric["mttf_increase"].ratio == pytest.approx(0.75)
+        assert "true -> false" in by_metric["cpd_preserved"].describe()
+
+    def test_mttf_drop_within_five_percent_passes(self):
+        base = _record(B1=_entry(mttf=2.0))
+        assert compare_records(base, _record(B1=_entry(mttf=1.91))).ok
+        assert not compare_records(base, _record(B1=_entry(mttf=1.89))).ok
+
+    def test_mttf_rise_and_kept_cpd_pass(self):
+        base = _record(B1=_entry(mttf=2.0, cpd=False))
+        cand = _record(B1=_entry(mttf=3.0, cpd=True))
+        assert compare_records(base, cand).ok
+
+    def test_worse_degradation_level_is_a_regression(self):
+        base = _record(B1=_entry(level="incumbent"))
+        cand = _record(B1=_entry(level="greedy"))
+        (regression,) = compare_records(base, cand).regressions
+        assert regression.metric == "degradation"
+        assert regression.describe() == "B1: degradation incumbent -> greedy"
+
+    def test_better_degradation_level_passes(self):
+        base = _record(B1=_entry(level="incumbent"))
+        cand = _record(B1=_entry(level="none"))
+        assert compare_records(base, cand).ok
 
     def test_schema_mismatch_warns(self):
         base = _record(B1=_entry())
@@ -97,6 +126,33 @@ class TestCompare:
         assert any(
             "schema" in w for w in compare_records(base, cand).warnings
         )
+
+
+class TestQualityGateCli:
+    """Quality regressions follow the same ``--warn-only`` rule as time."""
+
+    @pytest.fixture
+    def degraded_pair(self, tmp_path):
+        paths = []
+        for name, entry in (
+            ("base.json", _entry()),
+            ("cand.json", _entry(mttf=1.0, level="original")),
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps(_record(B1=entry)))
+            paths.append(str(path))
+        return paths
+
+    def test_quality_regression_fails(self, degraded_pair, capsys):
+        assert main(["bench", "compare", *degraded_pair]) == 3
+        out = capsys.readouterr().out
+        assert "REGRESSIONS" in out
+        assert "B1: degradation none -> original" in out
+        assert "mttf_increase" in out
+
+    def test_warn_only_downgrades_quality_regression(self, degraded_pair):
+        code = main(["bench", "compare", *degraded_pair, "--warn-only"])
+        assert code == 0
 
 
 class TestAggregatesAndTables:

@@ -95,6 +95,20 @@ class TestAlgorithm1Stats:
         assert alg1.relaxations == 2
         assert alg1.st_trajectory == [5.0, 5.5, 6.0]
 
+    def test_cut_rounds_are_not_relaxations(self):
+        alg1 = Algorithm1Stats()
+        alg1.record_iteration(5.0, "cpd_violation", rows_added=3)
+        alg1.record_iteration(5.0, "cpd_violation", rows_added=0)
+        alg1.record_iteration(5.5, "cpd_violation", rows_added=2)
+        alg1.record_iteration(5.5, "accepted")
+        assert alg1.rows_added == [3, 0, 2, 0]
+        assert alg1.cut_rounds == 2
+        assert alg1.cut_rows == 5
+        assert alg1.relaxations == 1  # only the round with nothing to cut
+        data = alg1.to_dict()
+        assert data["rows_added"] == [3, 0, 2, 0]
+        assert (data["cut_rounds"], data["cut_rows"]) == (2, 5)
+
     def test_absorb_solve_aggregates(self):
         alg1 = Algorithm1Stats()
         alg1.absorb_solve({"nodes": 5, "mip_gap": 0.1})
